@@ -216,11 +216,10 @@ def heisenberg_evolve(ham, x, times) -> Trajectory:
     norms = np.empty(grid.size)
     for k, t in enumerate(grid):
         try:
-            left = expm(1j * h.conj().T * t)
             right = expm(-1j * h * t)
         except OverflowError as exc:
             raise OverflowError(f"observable overflow at sample t={t:g}: {exc}") from exc
-        evolved = left @ xm @ right
+        evolved = right.conj().T @ xm @ right  # e^{i H^dag t} = (e^{-i H t})^dag
         entries.append(evolved)
         norms[k] = operator_norm(evolved)
     return Trajectory(times=grid, entries=entries, norms=norms, kind="operator")
@@ -250,9 +249,8 @@ def effective_derivative_check(ham, x, t: float, dt: float = 1e-5) -> float:
     plus = heisenberg_evolve(h, xm, [t + dt]).entries[0]
     minus = heisenberg_evolve(h, xm, [t - dt]).entries[0]
     fd = (plus - minus) / (2.0 * dt)
-    left = expm(1j * h.conj().T * t)
     right = expm(-1j * h * t)
-    generator = -1j * (left @ effective_commutator(xm, h) @ right)
+    generator = -1j * (right.conj().T @ effective_commutator(xm, h) @ right)
     return float(np.abs(fd - generator).max())
 
 

@@ -16,6 +16,7 @@ float64 values exactly.
 
 from __future__ import annotations
 
+import cmath
 import io
 import os
 
@@ -45,11 +46,14 @@ def format_complex(z: complex) -> str:
 
 def _parse_entry(token: str, line_no: int, field_no: int) -> complex:
     try:
-        return complex(token)
+        z = complex(token)
     except ValueError:
         raise MatrixFormatError(
             f"line {line_no}, field {field_no}: {token!r} is not a complex number"
         ) from None
+    if not cmath.isfinite(z):
+        raise MatrixFormatError(f"line {line_no}, field {field_no}: {token!r} is not finite")
+    return z
 
 
 def write_matrix(path_or_file, a, comments: list[str] | None = None) -> None:

@@ -45,6 +45,7 @@ from .dynamics import (
     pf_hamiltonian,
 )
 from .linalg import (
+    SingularMatrixError,
     as_matrix,
     as_vector,
     frobenius_norm,
@@ -655,7 +656,7 @@ def random_similarity(
         t = rng.uniform(-1.0, 1.0, (dim, dim)) + 1j * rng.uniform(-1.0, 1.0, (dim, dim))
         try:
             cond = operator_norm(t) * operator_norm(inverse(t))
-        except Exception:
+        except SingularMatrixError:
             continue
         if cond < cond_cap:
             return t

@@ -181,6 +181,16 @@ class TestObserve:
         assert main(["observe", cfg, "--observable", "N5"]) == 2
         assert "mode index" in capsys.readouterr().err
 
+    def test_nonfinite_observable_file_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, TWO_LEVEL)
+        obs_path = tmp_path / "obs.txt"
+        obs_path.write_text("dim 2\nnan 0\n0 1\n")
+        assert main(["observe", cfg, "--observable", str(obs_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1
+        assert "line 2, field 1" in captured.err and "not finite" in captured.err
+        assert "Traceback" not in captured.out + captured.err
+
 
 class TestVerify:
     def test_canonical_family_passes(self, tmp_path, capsys):
@@ -243,6 +253,19 @@ class TestConfigErrors:
     def test_missing_config_file_exits_2(self, tmp_path, capsys):
         assert main(["report", str(tmp_path / "none.json")]) == 2
         assert "error:" in capsys.readouterr().err
+
+
+    def test_nonfinite_t_matrix_exits_2(self, tmp_path, capsys):
+        (tmp_path / "t.txt").write_text("dim 2\n1 inf\n0 1\n")
+        doc = {
+            "scenario": "abstractN",
+            "params": {"n_modes": 1, "omegas": [1.0], "t_matrix": "t.txt"},
+        }
+        assert main(["report", write_config(tmp_path, doc)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1
+        assert "params.t_matrix: line 2, field 2" in captured.err
+        assert "Traceback" not in captured.out + captured.err
 
 
 class TestSeedHandling:

@@ -24,7 +24,6 @@ from pfdamp.linalg import (
     general_eig,
     hermitian_eig,
     inverse,
-    kernel_basis,
     lu_factor,
     lu_solve,
     matmul,
@@ -240,6 +239,10 @@ class TestOperatorNorm:
         a = random_complex(rng, 4)
         assert abs(operator_norm(3.5 * a) - 3.5 * operator_norm(a)) < 1e-10
 
+    def test_nearly_equal_top_singular_values(self):
+        # top two singular values 1e-4 apart: a power iteration stalls here
+        assert abs(operator_norm(np.diag([1.0, 1.0 - 1e-4, 0.5])) - 1.0) < 1e-12
+
 
 # ---------------------------------------------------------------------------
 # linear solves
@@ -303,30 +306,6 @@ class TestSolve:
 # kernels and eigensystems
 
 
-class TestKernelBasis:
-    def test_zero_matrix_full_kernel(self):
-        vecs = kernel_basis(np.zeros((3, 3)))
-        assert len(vecs) == 3
-
-    def test_projector_kernel(self):
-        vecs = kernel_basis(np.diag([1.0, 0.0]))
-        assert len(vecs) == 1
-        assert abs(abs(vecs[0][1]) - 1.0) < 1e-12
-
-    def test_rank_one_kernel_dimension(self):
-        v = np.array([1.0, 2.0, -1.0])
-        m = np.outer(v, v)
-        vecs = kernel_basis(m)
-        assert len(vecs) == 2
-        for vec in vecs:
-            assert np.linalg.norm(m @ vec) < 1e-10
-
-    def test_nonsingular_empty(self):
-        rng = np.random.default_rng(41)
-        a = random_complex(rng, 4) + 2.0 * np.eye(4)
-        assert kernel_basis(a) == []
-
-
 class TestHermitianEig:
     def test_against_numpy_oracle(self):
         rng = np.random.default_rng(51)
@@ -357,6 +336,17 @@ class TestHermitianEig:
         rng = np.random.default_rng(54)
         a = random_hermitian(rng, 5)
         w, v = hermitian_eig(a)
+        assert np.abs((v * w) @ v.conj().T - a).max() < 1e-12
+
+    def test_degenerate_spectrum(self):
+        # U diag(1, 1, 2) U^dag: a doubly degenerate eigenvalue, as in the
+        # vacua kernels, still gets an orthonormal eigenbasis
+        rng = np.random.default_rng(55)
+        u, _ = np.linalg.qr(random_complex(rng, 3))
+        a = (u * np.array([1.0, 1.0, 2.0])) @ u.conj().T
+        w, v = hermitian_eig(a)
+        assert np.abs(w - np.array([1.0, 1.0, 2.0])).max() < 1e-12
+        assert np.abs(v.conj().T @ v - np.eye(3)).max() < 1e-12
         assert np.abs((v * w) @ v.conj().T - a).max() < 1e-12
 
     def test_zero_matrix(self):
@@ -464,3 +454,14 @@ class TestConvergenceGuards:
 
     def test_convergence_error_is_exception(self):
         assert issubclass(ConvergenceError, RuntimeError)
+
+    def test_lapack_failure_is_convergence_error(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        monkeypatch.setattr(np.linalg, "norm", fail)
+        with pytest.raises(ConvergenceError):
+            hermitian_eig(np.diag([1.0, 2.0]))
+        with pytest.raises(ConvergenceError):
+            operator_norm(np.diag([1.0, 2.0]))

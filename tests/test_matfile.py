@@ -93,6 +93,11 @@ class TestDiagnostics:
         with pytest.raises(MatrixFormatError, match="line 2, field 2"):
             matrix_from_string("dim 2\n1+0j spam\n0+0j 1+0j\n")
 
+    @pytest.mark.parametrize("token", ["nan", "inf+0j", "0-infj", "1e999"])
+    def test_nonfinite_token_reports_line_and_field(self, token):
+        with pytest.raises(MatrixFormatError, match="line 3, field 1: .* is not finite"):
+            matrix_from_string(f"dim 2\n1+0j 0+0j\n{token} 1+0j\n")
+
     def test_write_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             write_matrix(io.StringIO(), np.array([[np.inf, 0.0], [0.0, 1.0]]))

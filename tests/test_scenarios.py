@@ -7,13 +7,13 @@ import numpy as np
 import pytest
 
 from oracles import exp_fit_residual
-from pfdamp import matfile
+from pfdamp import matfile, scenarios
 from pfdamp.dynamics import (
     heisenberg_evolve,
     number_evolution_closed_form,
     schrodinger_evolve,
 )
-from pfdamp.linalg import general_eig, operator_norm
+from pfdamp.linalg import SingularMatrixError, general_eig, operator_norm
 from pfdamp.pseudofermion import validate_family
 from pfdamp.scenarios import (
     AbstractNConfig,
@@ -510,6 +510,22 @@ class TestAbstractN:
     def test_sampling_failure_raises(self):
         with pytest.raises(SamplingError):
             random_similarity(4, 0, cond_cap=1.0001, max_attempts=5)
+
+    def test_only_singular_draws_are_retried(self, monkeypatch):
+        def singular(_):
+            raise SingularMatrixError("singular draw")
+
+        monkeypatch.setattr(scenarios, "inverse", singular)
+        with pytest.raises(SamplingError):
+            random_similarity(4, 0, max_attempts=3)
+
+        # an error other than SingularMatrixError is a bug, not a bad draw
+        def broken(_):
+            raise ZeroDivisionError("broken inverse")
+
+        monkeypatch.setattr(scenarios, "inverse", broken)
+        with pytest.raises(ZeroDivisionError, match="broken inverse"):
+            random_similarity(4, 0)
 
     @pytest.mark.parametrize("seed,n", [(7, 2), (3, 3)])
     def test_closed_form_matches_direct(self, seed, n):
