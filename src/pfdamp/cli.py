@@ -5,13 +5,16 @@ Subcommands
 ``verify <manifest>``
     Load an operator family from a manifest and check the pair algebra,
     biorthonormality, metric duality, vacuum annihilation, and the
-    intertwining relations.  Exit 0 when every residual passes, 1 when any
-    check fails, 2 on malformed input.
+    intertwining relations.  The last four residuals are relative: each is
+    divided by the product of the spectral norms of what it compares, so a
+    change of scale of the family leaves the verdict unchanged.  Exit 0 when
+    every residual passes, 1 when any check fails, 2 on malformed input.
 
 ``evolve <config>``
     Closed-system evolution of a state under the scenario's generator;
     writes a CSV with one row per sample: t, re/im of every component, and
-    the Euclidean norm.
+    the Euclidean norm.  A comment line names the propagator that ran
+    (spectral, with cond(V) of the eigenvector basis, or the expm fallback).
 
 ``observe <config> --observable N1|FILE``
     Evolution of an observable in the adjoint (two-sided) picture; writes a
@@ -45,7 +48,7 @@ from .dynamics import (
     write_norm_csv,
     write_state_csv,
 )
-from .linalg import DEFAULT_TOL, LinalgError, frobenius_norm, matmul
+from .linalg import DEFAULT_TOL, LinalgError, frobenius_norm, matmul, operator_norm
 from .pseudofermion import (
     InvalidFamilyError,
     build_bases,
@@ -87,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--tol",
         type=float,
         default=DEFAULT_TOL,
-        help="residual tolerance for verification checks (default 1e-10)",
+        help="relative residual tolerance for verification checks (default 1e-10)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -185,6 +188,12 @@ def _config_comments(scenario) -> list[str]:
     ]
 
 
+def _propagator_comment(traj) -> str:
+    if traj.basis_cond is None:
+        return f"propagator: {traj.path}"
+    return f"propagator: {traj.path}, cond(V) {traj.basis_cond:.1f}"
+
+
 def _resolve_observable(scenario, spec_text: str) -> tuple[np.ndarray, str]:
     if spec_text.startswith("N") and spec_text[1:].isdigit():
         k = int(spec_text[1:])
@@ -212,6 +221,11 @@ def _write_csv(text_writer, out_path) -> None:
             text_writer(fh)
 
 
+def _relative(residual: float, scale: float) -> float:
+    """``residual / scale``; a zero residual is 0 whatever the scale."""
+    return float(residual) / scale if residual else 0.0
+
+
 def _cmd_verify(args) -> int:
     family = import_family(args.manifest)
     tol = args.tol
@@ -233,41 +247,65 @@ def _cmd_verify(args) -> int:
     gram = np.array(
         [[np.vdot(phi, psi) for psi in system.psis] for phi in system.phis]
     )
-    bio_dev = float(np.abs(gram - np.eye(dim)).max())
+    phi_norms = np.linalg.norm(system.phis, axis=1)
+    psi_norms = np.linalg.norm(system.psis, axis=1)
+    bio_dev = float(
+        (np.abs(gram - np.eye(dim)) / np.outer(phi_norms, psi_norms)).max()
+    )
     bio_ok = bio_dev < tol
     ok &= bio_ok
     lines.append(
-        f"biorthonormality: max deviation {_fmt(bio_dev)}  [{'pass' if bio_ok else 'FAIL'}]"
+        f"biorthonormality: max relative deviation {_fmt(bio_dev)}  "
+        f"[{'pass' if bio_ok else 'FAIL'}]"
     )
 
     metrics = metric_operators(system)
-    duality = frobenius_norm(matmul(metrics.s_phi, metrics.s_psi) - np.eye(dim))
+    s_phi_norm = operator_norm(metrics.s_phi)
+    s_psi_norm = operator_norm(metrics.s_psi)
+    duality = frobenius_norm(matmul(metrics.s_phi, metrics.s_psi) - np.eye(dim)) / (
+        s_phi_norm * s_psi_norm
+    )
     duality_ok = duality < tol
     ok &= duality_ok
     lines.append(
-        f"metric duality |S_phi S_psi - I|: {_fmt(duality)}  "
+        f"metric duality |S_phi S_psi - I| (relative): {_fmt(duality)}  "
         f"[{'pass' if duality_ok else 'FAIL'}]"
     )
 
     vac_dev = 0.0
+    phi0, psi0 = system.phis[0], system.psis[0]
     for j in range(1, family.n_modes + 1):
-        vac_dev = max(vac_dev, float(np.abs(family.a(j) @ system.phis[0]).max()))
+        a_j, b_j = family.a(j), family.b(j)
         vac_dev = max(
-            vac_dev, float(np.abs(family.b(j).conj().T @ system.psis[0]).max())
+            vac_dev,
+            _relative(np.abs(a_j @ phi0).max(), operator_norm(a_j) * phi_norms[0]),
+            _relative(
+                np.abs(b_j.conj().T @ psi0).max(), operator_norm(b_j) * psi_norms[0]
+            ),
         )
     vac_ok = vac_dev < tol
     ok &= vac_ok
     lines.append(
-        f"vacuum annihilation: max residual {_fmt(vac_dev)}  "
+        f"vacuum annihilation: max relative residual {_fmt(vac_dev)}  "
         f"[{'pass' if vac_ok else 'FAIL'}]"
     )
 
     numbers = number_operators(family)
     inter = intertwining_check(metrics, numbers)
-    inter_ok = inter.max_residual < tol
+    inter_dev = 0.0
+    for r_psi, r_phi, n_op in zip(
+        inter.residuals_psi, inter.residuals_phi, numbers.n_ops
+    ):
+        n_norm = operator_norm(n_op)
+        inter_dev = max(
+            inter_dev,
+            _relative(r_psi, s_psi_norm * n_norm),
+            _relative(r_phi, s_phi_norm * n_norm),
+        )
+    inter_ok = inter_dev < tol
     ok &= inter_ok
     lines.append(
-        f"intertwining: max residual {_fmt(inter.max_residual)}  "
+        f"intertwining: max relative residual {_fmt(inter_dev)}  "
         f"[{'pass' if inter_ok else 'FAIL'}]"
     )
 
@@ -281,7 +319,8 @@ def _cmd_evolve(args) -> int:
     times = _parse_grid(args.grid)
     traj = schrodinger_evolve(scenario.ham, scenario.default_psi0, times)
     comments = _config_comments(scenario) + [
-        "columns: t, re/im per component, Euclidean norm"
+        _propagator_comment(traj),
+        "columns: t, re/im per component, Euclidean norm",
     ]
     _write_csv(lambda fh: write_state_csv(traj, fh, comments=comments), args.out)
     return 0
@@ -295,6 +334,7 @@ def _cmd_observe(args) -> int:
     c_n = bound_constant(scenario.n_modes)
     comments = _config_comments(scenario) + [
         f"observable: {label}",
+        _propagator_comment(traj),
         f"columns: t, spectral norm, envelope {_fmt(c_n)}*exp(-2*{_fmt(scenario.ham.gamma)}*t)",
     ]
     _write_csv(

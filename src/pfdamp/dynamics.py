@@ -6,9 +6,20 @@ effective-commutator calculus that generates it, the similarity-to-Hermitian
 (crypto-Hermitian) factorization, generalized traces over biorthogonal
 bases, and the damping diagnostics built on all of the above.
 
-Every trajectory sample is computed from its own matrix exponential (no
-compounded stepping), so per-sample results are independent and free of
-accumulation drift.
+Both trajectory routines share one propagator.  It diagonalizes the
+generator once, H = V diag(lambda) V^{-1}, and builds the whole time grid
+from the phases e^{-i t lambda} in batched array products: states as
+V e(t) V^{-1} psi(0), observables as U(t)^dag X U(t) with U(t) = V e(t)
+V^{-1} formed explicitly.  The error of this eigenvector method grows with
+cond(V) = ||V|| ||V^{-1}|| (Moler & Van Loan, "Nineteen dubious ways to
+compute the exponential of a matrix, 25 years later", SIAM Rev. 2003), so
+it is used only while cond(V) <= ``SPECTRAL_COND_LIMIT``.  A defective
+generator (V singular within the LU pivot threshold), a worse-conditioned
+basis or a LAPACK failure falls back to one scaling-and-squaring ``expm``
+per sample.  Either
+way every sample is computed directly from t (no compounded stepping), the
+t = 0 sample is the input itself, and the trajectory records which route
+ran and cond(V).
 """
 
 from __future__ import annotations
@@ -19,8 +30,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
+    ConvergenceError,
     NotPositiveError,
     ShapeError,
+    SingularMatrixError,
     as_matrix,
     as_vector,
     effective_commutator,
@@ -33,6 +46,7 @@ from .linalg import (
 from .pseudofermion import BiorthogonalSystem, NumberOps
 
 __all__ = [
+    "SPECTRAL_COND_LIMIT",
     "DecompositionError",
     "EffectiveHamiltonian",
     "Trajectory",
@@ -54,6 +68,15 @@ __all__ = [
     "write_state_csv",
     "write_norm_csv",
 ]
+
+
+#: cond(V) of the generator's eigenvector basis above which trajectories are
+#: computed by per-sample ``expm`` instead of the eigendecomposition
+SPECTRAL_COND_LIMIT = 1e4
+
+# samples per batched (chunk, d, d) product in heisenberg_evolve; bounds the
+# temporaries to a few chunk-sized stacks besides the result
+_GRID_CHUNK = 8
 
 
 class DecompositionError(ValueError):
@@ -82,13 +105,18 @@ class Trajectory:
     """States or evolved observables on an ascending time grid.
 
     ``kind`` is "state" (entries are vectors, norms Euclidean) or
-    "operator" (entries are matrices, norms spectral).
+    "operator" (entries are matrices, norms spectral).  ``path`` names the
+    propagator that ran, "spectral" or "expm", and ``basis_cond`` is
+    cond(V) of the eigenvector basis on the spectral path (None on the
+    ``expm`` fallback).
     """
 
     times: np.ndarray
     entries: list[np.ndarray]
     norms: np.ndarray
     kind: str
+    path: str = "expm"
+    basis_cond: float | None = None
 
 
 @dataclass
@@ -183,46 +211,115 @@ def _coerce_generator(ham) -> np.ndarray:
     return as_matrix(ham)
 
 
+def _eigenbasis(h: np.ndarray):
+    """(lambda, V, V^{-1}, cond(V)) of ``h``, or None when LAPACK fails, the
+    eigenvector basis is singular or its condition number exceeds the
+    spectral limit; per-sample ``expm`` then evolves any finite generator."""
+    try:
+        values, vectors = np.linalg.eig(h)
+        inv = inverse(vectors)
+        cond = operator_norm(vectors) * operator_norm(inv)
+    except (np.linalg.LinAlgError, SingularMatrixError, ConvergenceError):
+        return None
+    if not cond <= SPECTRAL_COND_LIMIT:
+        return None
+    return values, vectors, inv, cond
+
+
+def _check_finite(stack: np.ndarray, grid: np.ndarray, what: str) -> None:
+    """Raise OverflowError naming the first sample with a non-finite entry."""
+    finite = np.isfinite(stack.reshape(grid.size, -1)).all(axis=1)
+    if not finite.all():
+        t = grid[int(np.argmin(finite))]
+        raise OverflowError(
+            f"{what} overflow at sample t={t:g}: spectral propagator left float range"
+        )
+
+
 def schrodinger_evolve(ham, psi0, times) -> Trajectory:
     """States psi(t_k) = exp(-i t_k H_eff) psi(0) on the given grid.
 
-    Each sample is an independent exponential; Euclidean norms are recorded
-    alongside.  Overflow of a strongly growing mode is reported with the
-    offending sample time.
+    Computed from one eigendecomposition of H_eff, or by per-sample
+    ``expm`` when its eigenvector basis is defective or too ill-conditioned
+    (see the module docstring); Euclidean norms are recorded alongside.
+    Overflow of a strongly growing mode is reported with the offending
+    sample time.
     """
     h = _coerce_generator(ham)
     psi = as_vector(psi0, dim=h.shape[0])
     grid = _time_grid(times)
-    states = []
-    norms = np.empty(grid.size)
-    for k, t in enumerate(grid):
-        try:
-            state = expm(-1j * t * h) @ psi
-        except OverflowError as exc:
-            raise OverflowError(f"state overflow at sample t={t:g}: {exc}") from exc
-        states.append(state)
-        norms[k] = np.linalg.norm(state)
-    return Trajectory(times=grid, entries=states, norms=norms, kind="state")
+    basis = _eigenbasis(h)
+    if basis is None:
+        stack = np.empty((grid.size, psi.size), dtype=complex)
+        for k, t in enumerate(grid):
+            try:
+                stack[k] = expm(-1j * t * h) @ psi
+            except OverflowError as exc:
+                raise OverflowError(f"state overflow at sample t={t:g}: {exc}") from exc
+        path, cond = "expm", None
+    else:
+        values, vectors, inv, cond = basis
+        with np.errstate(over="ignore", invalid="ignore"):
+            phases = np.exp(-1j * np.outer(grid, values))
+            stack = (phases * (inv @ psi)) @ vectors.T
+        _check_finite(stack, grid, "state")
+        stack[grid == 0] = psi
+        path = "spectral"
+    return Trajectory(
+        times=grid,
+        entries=list(stack),
+        norms=np.linalg.norm(stack, axis=1),
+        kind="state",
+        path=path,
+        basis_cond=cond,
+    )
 
 
 def heisenberg_evolve(ham, x, times) -> Trajectory:
-    """Evolved observables X_eff(t) = e^{i H^dag t} X e^{-i H t} with norms."""
+    """Evolved observables X_eff(t) = e^{i H^dag t} X e^{-i H t} with norms.
+
+    Same propagator as :func:`schrodinger_evolve`.  On the spectral path
+    U(t) = V e(t) V^{-1} is formed explicitly and X(t) = U(t)^dag X U(t):
+    the shorter V^{-dag} (conj(e) * V^dag X V * e) V^{-1} has an error
+    growing like cond(V)^2 instead of cond(V).
+    """
     h = _coerce_generator(ham)
     xm = as_matrix(x)
     if xm.shape != h.shape:
         raise ShapeError(f"observable dim {xm.shape[0]} != generator dim {h.shape[0]}")
     grid = _time_grid(times)
-    entries = []
-    norms = np.empty(grid.size)
-    for k, t in enumerate(grid):
-        try:
-            right = expm(-1j * h * t)
-        except OverflowError as exc:
-            raise OverflowError(f"observable overflow at sample t={t:g}: {exc}") from exc
-        evolved = right.conj().T @ xm @ right  # e^{i H^dag t} = (e^{-i H t})^dag
-        entries.append(evolved)
-        norms[k] = operator_norm(evolved)
-    return Trajectory(times=grid, entries=entries, norms=norms, kind="operator")
+    basis = _eigenbasis(h)
+    stack = np.empty((grid.size,) + h.shape, dtype=complex)
+    if basis is None:
+        for k, t in enumerate(grid):
+            try:
+                right = expm(-1j * h * t)
+            except OverflowError as exc:
+                raise OverflowError(f"observable overflow at sample t={t:g}: {exc}") from exc
+            stack[k] = right.conj().T @ xm @ right  # e^{i H^dag t} = (e^{-i H t})^dag
+        path, cond = "expm", None
+    else:
+        values, vectors, inv, cond = basis
+        with np.errstate(over="ignore", invalid="ignore"):
+            for lo in range(0, grid.size, _GRID_CHUNK):
+                phases = np.exp(-1j * np.outer(grid[lo : lo + _GRID_CHUNK], values))
+                u = (vectors * phases[:, None, :]) @ inv
+                stack[lo : lo + _GRID_CHUNK] = u.conj().transpose(0, 2, 1) @ (xm @ u)
+        _check_finite(stack, grid, "observable")
+        stack[grid == 0] = xm
+        path = "spectral"
+    try:
+        norms = np.linalg.norm(stack, 2, axis=(1, 2))
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"singular value decomposition failed: {exc}") from exc
+    return Trajectory(
+        times=grid,
+        entries=list(stack),
+        norms=norms,
+        kind="operator",
+        path=path,
+        basis_cond=cond,
+    )
 
 
 def _time_grid(times) -> np.ndarray:

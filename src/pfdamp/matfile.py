@@ -22,7 +22,7 @@ import os
 
 import numpy as np
 
-from .linalg import as_matrix
+from .linalg import MAX_DIM, as_matrix
 
 __all__ = [
     "MatrixFormatError",
@@ -107,6 +107,10 @@ def read_matrix(path_or_file) -> np.ndarray:
         ) from None
     if dim < 1:
         raise MatrixFormatError(f"line {head_no}: dimension must be positive")
+    if dim > MAX_DIM:
+        raise MatrixFormatError(
+            f"line {head_no}: dimension {dim} outside [1, {MAX_DIM}]"
+        )
     rows = data_lines[1:]
     if len(rows) != dim:
         raise MatrixFormatError(

@@ -43,6 +43,7 @@ from .dynamics import (
     generalized_trace,
     number_evolution_closed_form,
     pf_hamiltonian,
+    schrodinger_evolve,
 )
 from .linalg import (
     SingularMatrixError,
@@ -52,7 +53,6 @@ from .linalg import (
     general_eig,
     inverse,
     operator_norm,
-    solve,
 )
 from .pseudofermion import (
     BiorthogonalSystem,
@@ -130,8 +130,9 @@ class AbstractNConfig:
 class Scenario:
     """A built scenario: generator, operator family, and closed forms.
 
-    ``closed_form(psi0, times)`` returns the exactly evolved states without
-    going through matrix exponentials, as a list of vectors; ``fidelity``
+    ``closed_form(psi0, times)`` returns the exactly evolved states as a
+    list of vectors, from the scenario's own formulas (``bagarello4``'s is
+    the eigenbasis expansion of ``schrodinger_evolve``); ``fidelity``
     maps named cross-check deviations (constructive route vs reference
     formulas) measured while building.
     """
@@ -208,7 +209,10 @@ def _parse_psi0(params: dict, dim: int | None) -> np.ndarray | None:
     if not isinstance(raw, list):
         raise ConfigError("params.psi0: expected a list of entries")
     entries = [_as_complex(x, f"params.psi0[{i}]") for i, x in enumerate(raw)]
-    vec = as_vector(entries)
+    try:
+        vec = as_vector(entries)
+    except ValueError as exc:  # ShapeError (length), or a nan/inf entry
+        raise ConfigError(f"params.psi0: {exc}") from exc
     if dim is not None and vec.size != dim:
         raise ConfigError(f"params.psi0: length {vec.size}, expected {dim}")
     return vec
@@ -360,6 +364,12 @@ def build_benaryeh2(cfg: Benaryeh2Config) -> Scenario:
     ham = gamma_shift(h_eff)
     half_diff = 0.5 * (gamma_a - gamma_b)
     omega = abs(v) ** 2 - half_diff ** 2  # real discriminant
+    if abs(omega) < OMEGA_DEGENERATE_TOL:
+        branch = "degenerate"
+    elif omega > 0:
+        branch = "oscillatory"
+    else:
+        branch = "hyperbolic"
 
     family = None
     numbers = None
@@ -368,7 +378,7 @@ def build_benaryeh2(cfg: Benaryeh2Config) -> Scenario:
     fidelity: dict[str, float] = {}
     pf_omega = None
     eta_plus = eta_minus = None
-    if abs(omega) >= OMEGA_DEGENERATE_TOL:
+    if branch != "degenerate":
         sq = complex(np.sqrt(complex(omega)))  # sqrt(Omega), imaginary if Omega < 0
         pf_omega = 2.0 * sq
         if abs(v) < 1e-14 * max(1.0, abs(half_diff)):
@@ -414,36 +424,25 @@ def build_benaryeh2(cfg: Benaryeh2Config) -> Scenario:
 
     def closed_form(psi0, times) -> list[np.ndarray]:
         p = as_vector(psi0, dim=2)
-        out = []
-        for t in np.asarray(times, dtype=float).reshape(-1):
-            if abs(omega) < OMEGA_DEGENERATE_TOL:
-                f0 = p[0] + (-half_diff * p[0] - 1j * v * p[1]) * t
-                f1 = p[1] + (half_diff * p[1] - 1j * np.conj(v) * p[0]) * t
-            elif omega > 0:
-                sq_r = np.sqrt(omega)
-                f0 = p[0] * np.cos(sq_r * t) + (
-                    -half_diff * p[0] - 1j * v * p[1]
-                ) / sq_r * np.sin(sq_r * t)
-                f1 = p[1] * np.cos(sq_r * t) + (
-                    half_diff * p[1] - 1j * np.conj(v) * p[0]
-                ) / sq_r * np.sin(sq_r * t)
-            else:
-                sq_r = np.sqrt(-omega)
-                f0 = p[0] * np.cosh(sq_r * t) + (
-                    -half_diff * p[0] - 1j * v * p[1]
-                ) / sq_r * np.sinh(sq_r * t)
-                f1 = p[1] * np.cosh(sq_r * t) + (
-                    half_diff * p[1] - 1j * np.conj(v) * p[0]
-                ) / sq_r * np.sinh(sq_r * t)
-            out.append(np.exp(-gamma_big * t) * np.array([f0, f1]))
-        return out
-
-    if omega > OMEGA_DEGENERATE_TOL:
-        branch = "oscillatory"
-    elif omega < -OMEGA_DEGENERATE_TOL:
-        branch = "hyperbolic"
-    else:
-        branch = "degenerate"
+        t = np.asarray(times, dtype=float).reshape(-1)
+        drift = np.array(
+            [
+                -half_diff * p[0] - 1j * v * p[1],
+                half_diff * p[1] - 1j * np.conj(v) * p[0],
+            ]
+        )
+        if branch == "degenerate":
+            even, odd = np.ones_like(t), t
+        elif branch == "oscillatory":
+            sq_r = np.sqrt(omega)
+            even, odd = np.cos(sq_r * t), np.sin(sq_r * t) / sq_r
+        else:
+            sq_r = np.sqrt(-omega)
+            even, odd = np.cosh(sq_r * t), np.sinh(sq_r * t) / sq_r
+        states = np.exp(-gamma_big * t)[:, None] * (
+            np.outer(even, p) + np.outer(odd, drift)
+        )
+        return list(states)
 
     return Scenario(
         name="benaryeh2",
@@ -598,16 +597,10 @@ def build_bagarello4(cfg: Bagarello4Config) -> Scenario:
             "four-level generator is not diagonalizable for these parameters: "
             + "; ".join(eig.defects)
         )
-    basis = np.column_stack([vec for vec in eig.vectors])
-    energies = eig.values
 
     def closed_form(psi0, times) -> list[np.ndarray]:
-        p = as_vector(psi0, dim=4)
-        coeff = solve(basis, p)
-        out = []
-        for t in np.asarray(times, dtype=float).reshape(-1):
-            out.append(basis @ (coeff * np.exp(-1j * energies * t)))
-        return out
+        # the eigenbasis expansion is exactly the spectral propagator's route
+        return schrodinger_evolve(ham, psi0, times).entries
 
     # the ratio form of the decay condition applies in the alpha > beta > 0 regime
     damped_ratio_form = bool(alpha / beta < w1 / w2) if beta > 0 else None
@@ -692,20 +685,17 @@ def build_abstractN(cfg: AbstractNConfig) -> Scenario:
         ],
         dtype=complex,
     )
-    phis = system.phis
-    psis = system.psis
+    phis = np.array(system.phis)
+    psis = np.array(system.psis)
 
     def closed_form(psi0, times) -> list[np.ndarray]:
+        # psi(t) = sum_k <psi_k, psi0> e^{-i E_k t} e^{-gamma t} phi_k
         p = as_vector(psi0, dim=dim)
-        coeff = np.array([np.vdot(psi, p) for psi in psis])
-        out = []
-        for t in np.asarray(times, dtype=float).reshape(-1):
-            weights = coeff * np.exp(-1j * energies * t) * np.exp(-gamma * t)
-            state = np.zeros(dim, dtype=complex)
-            for w, phi in zip(weights, phis):
-                state = state + w * phi
-            out.append(state)
-        return out
+        t = np.asarray(times, dtype=float).reshape(-1)
+        weights = (psis.conj() @ p) * np.exp(
+            -1j * np.outer(t, energies) - gamma * t[:, None]
+        )
+        return list(weights @ phis)
 
     return Scenario(
         name="abstractN",

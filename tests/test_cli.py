@@ -12,7 +12,16 @@ import pytest
 from pfdamp import matfile
 from pfdamp.cli import main
 from pfdamp.dynamics import bound_constant
-from pfdamp.pseudofermion import canonical_fermions, export_family
+from pfdamp.pseudofermion import (
+    build_bases,
+    canonical_fermions,
+    export_family,
+    import_family,
+    intertwining_check,
+    metric_operators,
+    number_operators,
+)
+from pfdamp.scenarios import AbstractNConfig, build_abstractN
 
 TWO_LEVEL = {
     "scenario": "benaryeh2",
@@ -112,6 +121,20 @@ class TestEvolve:
         assert rows[0, -1] == pytest.approx(1.0)
         # strong damping by t=20
         assert rows[-1, -1] < 1e-6
+
+    def test_propagator_comment_names_route(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, TWO_LEVEL)
+        assert main(["evolve", cfg, "--grid", "0,1,3"]) == 0
+        assert "# propagator: spectral, cond(V) 1.7\n" in capsys.readouterr().out
+        assert main(["observe", cfg, "--observable", "N1", "--grid", "0,1,3"]) == 0
+        assert "# propagator: spectral, cond(V) 1.7\n" in capsys.readouterr().out
+        # |v| = (gamma_a - gamma_b)/2: a defective generator, expm fallback
+        doc = {
+            "scenario": "benaryeh2",
+            "params": {"gamma_a": 3.0, "gamma_b": 1.0, "v": 1.0},
+        }
+        assert main(["evolve", write_config(tmp_path, doc), "--grid", "0,1,3"]) == 0
+        assert "# propagator: expm\n" in capsys.readouterr().out
 
     def test_custom_grid_and_out_file(self, tmp_path):
         cfg = write_config(tmp_path, TWO_LEVEL)
@@ -221,6 +244,22 @@ class TestVerify:
         assert main(["verify", str(bad)]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_residuals_are_relative_to_family_scale(self, tmp_path, capsys):
+        # a valid N = 6 family whose absolute intertwining residual exceeds
+        # the default tolerance; relative to ||S|| ||N_j|| it is tiny
+        s = build_abstractN(
+            AbstractNConfig(n_modes=6, omegas=(1.0,) * 6, similarity_seed=0)
+        )
+        manifest = export_family(s.family, tmp_path)
+        family = import_family(manifest)
+        metrics = metric_operators(build_bases(family))
+        absolute = intertwining_check(metrics, number_operators(family)).max_residual
+        assert absolute > 1e-10
+        assert main(["verify", str(manifest)]) == 0
+        out = capsys.readouterr().out
+        assert "result: PASS" in out
+        assert "intertwining: max relative residual" in out
+
     def test_strict_tolerance_flag(self, tmp_path, capsys):
         manifest = export_family(canonical_fermions(1), tmp_path)
         assert main(["--tol", "1e-15", "verify", str(manifest)]) == 0
@@ -254,6 +293,27 @@ class TestConfigErrors:
         assert main(["report", str(tmp_path / "none.json")]) == 2
         assert "error:" in capsys.readouterr().err
 
+
+    def test_oversized_observable_file_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, TWO_LEVEL)
+        obs_path = tmp_path / "obs.txt"
+        obs_path.write_text("dim 65\n")
+        assert main(["observe", cfg, "--observable", str(obs_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1
+        assert "dimension 65 outside [1, 64]" in captured.err
+        assert "Traceback" not in captured.out + captured.err
+
+    def test_oversized_psi0_exits_2(self, tmp_path, capsys):
+        doc = {
+            "scenario": "abstractN",
+            "params": {"n_modes": 1, "omegas": [1.0], "psi0": [1.0] * 70},
+        }
+        assert main(["evolve", write_config(tmp_path, doc)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1
+        assert "params.psi0" in captured.err and "70" in captured.err
+        assert "Traceback" not in captured.out + captured.err
 
     def test_nonfinite_t_matrix_exits_2(self, tmp_path, capsys):
         (tmp_path / "t.txt").write_text("dim 2\n1 inf\n0 1\n")

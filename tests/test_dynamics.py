@@ -7,6 +7,7 @@ import pytest
 
 from oracles import random_complex, random_state
 from pfdamp.dynamics import (
+    SPECTRAL_COND_LIMIT,
     CryptoContext,
     DecompositionError,
     EffectiveHamiltonian,
@@ -28,6 +29,7 @@ from pfdamp.dynamics import (
     write_state_csv,
 )
 from pfdamp.linalg import (
+    ConvergenceError,
     NotPositiveError,
     ShapeError,
     expm,
@@ -164,6 +166,153 @@ class TestHeisenbergEvolve:
             lhs = np.vdot(psi_t, x @ psi_t)
             rhs = np.vdot(psi0, x_t @ psi0)
             assert abs(lhs - rhs) < 1e-11
+
+
+def _expm_deviations(h, psi0, x, times):
+    """Worst deviation of both evolve routines from per-sample ``expm``,
+    relative to the forward-error scales ||U|| ||psi0|| and ||U||^2 ||X||."""
+    states = schrodinger_evolve(h, psi0, times)
+    observables = heisenberg_evolve(h, x, times)
+    state_dev = obs_dev = 0.0
+    for t, state, evolved in zip(times, states.entries, observables.entries):
+        u = expm(-1j * t * np.asarray(h))
+        u_norm = operator_norm(u)
+        state_dev = max(
+            state_dev,
+            np.linalg.norm(state - u @ psi0) / (u_norm * np.linalg.norm(psi0)),
+        )
+        obs_dev = max(
+            obs_dev,
+            operator_norm(evolved - u.conj().T @ x @ u)
+            / (u_norm**2 * operator_norm(x)),
+        )
+    return states, observables, state_dev, obs_dev
+
+
+def _scenario_generators():
+    from pfdamp.scenarios import (
+        AbstractNConfig,
+        Bagarello4Config,
+        Benaryeh2Config,
+        build_abstractN,
+        build_bagarello4,
+        build_benaryeh2,
+    )
+
+    return [
+        build_benaryeh2(Benaryeh2Config(gamma_a=2.0, gamma_b=1.0, v=1.0)).ham,
+        build_benaryeh2(Benaryeh2Config(gamma_a=3.0, gamma_b=1.0, v=0.5j)).ham,
+        build_bagarello4(
+            Bagarello4Config(alpha=2.0, beta=1.0, omega1=3.0, omega2=1.0)
+        ).ham,
+        build_abstractN(
+            AbstractNConfig(n_modes=3, omegas=(1.0, 0.7 + 0.2j, 2.1 - 0.1j))
+        ).ham,
+    ]
+
+
+class TestSpectralPropagator:
+    TIMES = np.linspace(0.0, 10.0, 41)
+
+    @pytest.mark.parametrize("index", range(4))
+    def test_scenarios_match_expm(self, index):
+        ham = _scenario_generators()[index]
+        rng = np.random.default_rng(index)
+        d = ham.dim
+        states, _, state_dev, obs_dev = _expm_deviations(
+            ham.h_eff, random_state(rng, d), random_complex(rng, d), self.TIMES
+        )
+        assert states.path == "spectral"
+        assert state_dev <= 1e-10 and obs_dev <= 1e-10
+
+    @pytest.mark.parametrize("seed,d", [(0, 2), (1, 5), (2, 16), (3, 32)])
+    def test_random_generators_match_expm(self, seed, d):
+        rng = np.random.default_rng(seed)
+        h = random_complex(rng, d) - 0.5j * np.eye(d)
+        states, observables, state_dev, obs_dev = _expm_deviations(
+            h, random_state(rng, d), random_complex(rng, d), np.linspace(0.0, 3.0, 13)
+        )
+        assert states.path == observables.path == "spectral"
+        assert state_dev <= 1e-10 and obs_dev <= 1e-10
+
+    def test_near_exceptional_basis_below_limit(self):
+        # |v| just above (gamma_a - gamma_b)/2: cond(V) ~ 9e3, under the limit
+        h = two_level_generator(2.0, 1.0, 0.5 * (1.0 + 2.5e-8))
+        rng = np.random.default_rng(9)
+        states, observables, state_dev, obs_dev = _expm_deviations(
+            h, random_state(rng, 2), random_complex(rng, 2), self.TIMES
+        )
+        assert states.path == "spectral"
+        assert 5e3 < states.basis_cond <= SPECTRAL_COND_LIMIT
+        assert observables.basis_cond == states.basis_cond
+        assert state_dev <= 1e-10 and obs_dev <= 1e-10
+
+    @pytest.mark.parametrize(
+        "h",
+        [
+            two_level_generator(3.0, 1.0, 1.0),  # Omega = 0: exceptional point
+            np.array([[0.5 - 1j, 1.0], [0.0, 0.5 - 1j]]),  # Jordan block
+            two_level_generator(2.0, 1.0, 0.5 * (1.0 + 1e-9)),  # cond(V) ~ 4.5e4
+        ],
+    )
+    def test_defective_or_ill_conditioned_generator_falls_back_to_expm(self, h):
+        x = np.array([[1.0, 2.0], [0.5j, -1.0]])
+        psi0 = np.array([0.6, 0.8j])
+        states = schrodinger_evolve(h, psi0, self.TIMES)
+        observables = heisenberg_evolve(h, x, self.TIMES)
+        for traj in (states, observables):
+            assert traj.path == "expm" and traj.basis_cond is None
+        for t, state, evolved in zip(self.TIMES, states.entries, observables.entries):
+            u = expm(-1j * t * h)
+            assert np.array_equal(state, u @ psi0)
+            assert np.array_equal(evolved, u.conj().T @ x @ u)
+
+    def test_lapack_eig_failure_falls_back_to_expm(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("did not converge")
+
+        monkeypatch.setattr(np.linalg, "eig", fail)
+        h = two_level_generator(2.0, 1.0, 1.0)
+        x = np.array([[1.0, 2.0], [0.5j, -1.0]])
+        psi0 = np.array([0.6, 0.8j])
+        states = schrodinger_evolve(h, psi0, self.TIMES)
+        observables = heisenberg_evolve(h, x, self.TIMES)
+        assert states.path == observables.path == "expm"
+        for t, state, evolved in zip(self.TIMES, states.entries, observables.entries):
+            u = expm(-1j * t * h)
+            assert np.array_equal(state, u @ psi0)
+            assert np.array_equal(evolved, u.conj().T @ x @ u)
+
+    def test_lapack_norm_failure_is_convergence_error(self, monkeypatch):
+        norm = np.linalg.norm
+
+        def fail_on_stacks(a, *args, **kwargs):
+            if kwargs.get("axis") == (1, 2):
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return norm(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "norm", fail_on_stacks)
+        with pytest.raises(ConvergenceError, match="singular value decomposition"):
+            heisenberg_evolve(two_level_generator(2.0, 1.0, 1.0), np.eye(2), self.TIMES)
+
+    def test_initial_sample_is_exact(self):
+        rng = np.random.default_rng(4)
+        h = random_complex(rng, 4)
+        psi0 = random_state(rng, 4)
+        x = random_complex(rng, 4)
+        states = schrodinger_evolve(h, psi0, [0.0, 0.5])
+        observables = heisenberg_evolve(h, x, [0.0, 0.5])
+        assert states.path == observables.path == "spectral"
+        assert np.array_equal(states.entries[0], psi0)
+        assert states.norms[0] == np.linalg.norm(psi0)
+        assert np.array_equal(observables.entries[0], x)
+
+    def test_observable_overflow_reported_with_time(self):
+        h = np.diag([500j, -1j])  # one mode grows like e^{500 t}
+        with pytest.raises(OverflowError, match="observable overflow at sample t=2"):
+            heisenberg_evolve(h, np.eye(2), [0.0, 0.5, 2.0])
+        with pytest.raises(OverflowError, match="state overflow at sample t=2"):
+            schrodinger_evolve(h, [1.0, 0.0], [0.0, 0.5, 2.0])
 
 
 class TestDerivativeIdentity:
@@ -497,9 +646,11 @@ class TestEffectiveHamiltonianDataclass:
         assert ham.dim == 2
 
     def test_evolution_uses_full_generator(self):
-        # evolving with h_eff equals manual exponential
+        # evolving an EffectiveHamiltonian follows h_eff, not h_traceless
         ham = gamma_shift(two_level_generator())
         t = 0.8
         direct = expm(-1j * t * ham.h_eff) @ np.array([1.0, 0.0])
         via = schrodinger_evolve(ham, [1.0, 0.0], [t]).entries[0]
-        assert np.abs(direct - via).max() == 0.0
+        assert np.abs(direct - via).max() < 1e-14
+        traceless = schrodinger_evolve(ham.h_traceless, [1.0, 0.0], [t]).entries[0]
+        assert np.abs(traceless - via).max() > 1e-3

@@ -13,7 +13,7 @@ from pfdamp.dynamics import (
     number_evolution_closed_form,
     schrodinger_evolve,
 )
-from pfdamp.linalg import SingularMatrixError, general_eig, operator_norm
+from pfdamp.linalg import SingularMatrixError, expm, general_eig, operator_norm
 from pfdamp.pseudofermion import validate_family
 from pfdamp.scenarios import (
     AbstractNConfig,
@@ -287,6 +287,11 @@ class TestTwoLevel:
         dev = max(np.abs(e - c).max() for e, c in zip(direct.entries, closed))
         assert dev < 1e-10
 
+    def test_uncoupled_equal_rates_are_degenerate(self):
+        # Omega = 0 and H_traceless = 0: no pair exists
+        s = build_benaryeh2(Benaryeh2Config(gamma_a=1.5, gamma_b=1.5, v=0.0))
+        assert s.extras["branch"] == "degenerate" and s.family is None
+
     def test_degenerate_has_no_pair(self):
         s = build_benaryeh2(Benaryeh2Config(gamma_a=3.0, gamma_b=1.0, v=1.0))
         assert s.family is None and s.numbers is None
@@ -383,9 +388,11 @@ class TestFourLevel:
     def test_closed_form_matches_direct(self):
         s = standard_four_level()
         times = np.linspace(0.0, 5.0, 21)
-        direct = schrodinger_evolve(s.ham, s.default_psi0, times)
         closed = s.closed_form(s.default_psi0, times)
-        dev = max(np.abs(e - c).max() for e, c in zip(direct.entries, closed))
+        dev = max(
+            np.abs(expm(-1j * t * s.ham.h_eff) @ s.default_psi0 - c).max()
+            for t, c in zip(times, closed)
+        )
         assert dev < 1e-10
 
     def test_component_exponential_structure(self):
